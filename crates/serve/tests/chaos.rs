@@ -157,7 +157,9 @@ fn corrupt_journal_flush_degrades_to_cold_cache() {
     // The drain flushes the store; the armed point corrupts the line.
     first.shutdown();
     assert_eq!(guard.fired(), vec!["serve.cache.flush-line"]);
-    drop(guard); // replay and re-solve below run un-injected
+    // Keep holding the guard: releasing it would let another chaos test
+    // arm its plan inside the second daemon. Replay and re-solve never
+    // reach the flush point, so they still run un-injected.
 
     let second = Server::start(ServerConfig {
         workers: 1,
